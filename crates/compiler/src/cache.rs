@@ -26,9 +26,16 @@
 //! * **stats** — [`CacheStats`] exposes hits/misses/evictions so callers
 //!   (the session facade, the DSE engine) can report cache effectiveness.
 //!
-//! Failed compilations are cached too, but an eviction pass prefers
-//! evicting failures first: they are cheap to reproduce relative to a
-//! successful plan's tile search.
+//! Both tiers keep their entries in one private LRU core: a slab of at
+//! most `capacity` slots threaded onto doubly linked recency lists, plus a
+//! key → slot index. Lookup, touch, insert and eviction are all O(1), and
+//! an evicted slot is reused in place, so a full 16 384-entry layer tier
+//! costs no more per insert than an empty one. Every entry carries an
+//! eviction *class*; the victim is the least recently used entry of the
+//! lowest non-empty class. The model tier files failed compilations in the
+//! lower class — they are cheap to reproduce relative to a successful
+//! plan's tile search — so failures are evicted first; the layer tier uses
+//! a single class.
 //!
 //! The layer tier sits *below* the model tier: once a plan is resolved
 //! (from the model tier or a fresh compilation), each of its layers can be
@@ -40,7 +47,8 @@
 //! cache".
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_dnn::model::Model;
@@ -177,17 +185,196 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    plan: CachedPlan,
-    last_used: u64,
+/// Link value meaning "no slot".
+const NIL: usize = usize::MAX;
+
+/// Eviction classes the LRU core keeps apart: a full cache evicts from the
+/// lowest non-empty class first.
+const CLASSES: usize = 2;
+
+/// One resident entry, threaded onto its class's recency list.
+struct Node<K, V> {
+    key: K,
+    value: V,
+    class: usize,
+    /// The next less recently used slot of the same class, or [`NIL`].
+    older: usize,
+    /// The next more recently used slot of the same class, or [`NIL`].
+    newer: usize,
 }
 
-struct Inner {
-    map: HashMap<ArtifactKey, Entry>,
-    tick: u64,
+/// The O(1) least-recently-used core both tiers share: a slab of at most
+/// `capacity` nodes, one doubly linked recency list per eviction class,
+/// and a key → slot index. The victim is the least recent entry of the
+/// lowest non-empty class, which is the minimum `(class, last use)` over
+/// all entries, found without a scan.
+struct Lru<K, V> {
+    index: HashMap<K, usize>,
+    slots: Vec<Node<K, V>>,
+    /// Per class, the least recently used slot (the eviction end).
+    oldest: [usize; CLASSES],
+    /// Per class, the most recently used slot.
+    newest: [usize; CLASSES],
+    capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl<K, V> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            oldest: [NIL; CLASSES],
+            newest: [NIL; CLASSES],
+            capacity: capacity.max(1),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            len: self.slots.len(),
+            capacity: self.capacity,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.oldest = [NIL; CLASSES];
+        self.newest = [NIL; CLASSES];
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let node = &self.slots[slot];
+        let (class, older, newer) = (node.class, node.older, node.newer);
+        match older {
+            NIL => self.oldest[class] = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest[class] = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Links `slot` in as the most recent entry of its class.
+    fn push_newest(&mut self, slot: usize) {
+        let class = self.slots[slot].class;
+        let prev = self.newest[class];
+        let node = &mut self.slots[slot];
+        node.older = prev;
+        node.newer = NIL;
+        match prev {
+            NIL => self.oldest[class] = slot,
+            p => self.slots[p].newer = slot,
+        }
+        self.newest[class] = slot;
+    }
+}
+
+impl<K: Clone + Eq + Hash, V> Lru<K, V> {
+    fn contains(&self, key: &K) -> bool {
+        self.index.contains_key(key)
+    }
+
+    /// Counts a hit or miss; a hit becomes the most recent of its class.
+    fn lookup(&mut self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        let Some(&slot) = self.index.get(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.unlink(slot);
+        self.push_newest(slot);
+        Some(self.slots[slot].value.clone())
+    }
+
+    /// Inserts (or replaces) `key` as the most recent entry of `class`.
+    /// A new key in a full cache takes over the victim's slot.
+    fn insert(&mut self, key: K, value: V, class: usize) {
+        if let Some(&slot) = self.index.get(&key) {
+            self.unlink(slot);
+            let node = &mut self.slots[slot];
+            node.value = value;
+            node.class = class;
+            self.push_newest(slot);
+            return;
+        }
+        let node = Node {
+            key: key.clone(),
+            value,
+            class,
+            older: NIL,
+            newer: NIL,
+        };
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(node);
+            self.slots.len() - 1
+        } else {
+            let slot = self
+                .oldest
+                .into_iter()
+                .find(|&s| s != NIL)
+                .expect("a full cache has a victim");
+            self.unlink(slot);
+            let victim = std::mem::replace(&mut self.slots[slot], node);
+            self.index.remove(&victim.key);
+            self.evictions += 1;
+            slot
+        };
+        self.index.insert(key, slot);
+        self.push_newest(slot);
+    }
+}
+
+/// What both tiers share: the LRU core behind its lock, and the optional
+/// disk tier beneath it.
+struct Tier<K, V> {
+    lru: Mutex<Lru<K, V>>,
+    store: Mutex<Option<Arc<DiskArtifactStore>>>,
+}
+
+impl<K, V> Tier<K, V> {
+    fn new(capacity: usize) -> Self {
+        Tier {
+            lru: Mutex::new(Lru::new(capacity)),
+            store: Mutex::new(None),
+        }
+    }
+
+    fn lru(&self) -> MutexGuard<'_, Lru<K, V>> {
+        self.lru.lock().expect("cache poisoned")
+    }
+
+    fn attach_store(&self, store: Arc<DiskArtifactStore>) {
+        *self.store.lock().expect("cache store poisoned") = Some(store);
+    }
+
+    fn disk(&self) -> Option<Arc<DiskArtifactStore>> {
+        self.store.lock().expect("cache store poisoned").clone()
+    }
+
+    fn debug(&self, name: &str, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.lru().stats();
+        f.debug_struct(name)
+            .field("len", &s.len)
+            .field("capacity", &s.capacity)
+            .field("hits", &s.hits)
+            .field("misses", &s.misses)
+            .field("evictions", &s.evictions)
+            .finish()
+    }
 }
 
 /// A thread-safe, capacity-bounded, least-recently-used cache of compiled
@@ -210,9 +397,7 @@ struct Inner {
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 pub struct ArtifactCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    store: Mutex<Option<Arc<DiskArtifactStore>>>,
+    tier: Tier<ArtifactKey, CachedPlan>,
 }
 
 /// Default capacity: comfortably holds the whole zoo at several batch
@@ -227,14 +412,7 @@ impl Default for ArtifactCache {
 
 impl std::fmt::Debug for ArtifactCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("ArtifactCache")
-            .field("len", &s.len)
-            .field("capacity", &s.capacity)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .field("evictions", &s.evictions)
-            .finish()
+        self.tier.debug("ArtifactCache", f)
     }
 }
 
@@ -243,15 +421,7 @@ impl ArtifactCache {
     /// (`capacity` is clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         ArtifactCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-            capacity: capacity.max(1),
-            store: Mutex::new(None),
+            tier: Tier::new(capacity),
         }
     }
 
@@ -262,54 +432,25 @@ impl ArtifactCache {
     /// plan still counts as a memory miss; the disk traffic shows up in
     /// [`DiskArtifactStore::stats`].
     pub fn attach_store(&self, store: Arc<DiskArtifactStore>) {
-        *self.store.lock().expect("artifact cache store poisoned") = Some(store);
-    }
-
-    fn disk(&self) -> Option<Arc<DiskArtifactStore>> {
-        self.store
-            .lock()
-            .expect("artifact cache store poisoned")
-            .clone()
+        self.tier.attach_store(store);
     }
 
     /// Looks `key` up — memory tier first, then the attached disk tier (if
     /// any) — counting a memory hit or miss and refreshing recency on a
     /// hit. A disk-served plan is promoted into the memory tier.
     pub fn lookup(&self, key: &ArtifactKey) -> Option<CachedPlan> {
-        if let Some(plan) = self.lookup_memory(key) {
+        if let Some(plan) = self.tier.lru().lookup(key) {
             return Some(plan);
         }
-        let store = self.disk()?;
+        let store = self.tier.disk()?;
         let plan: CachedPlan = Arc::new(Ok(store.load_plan(key)?));
         self.insert_memory(key.clone(), plan.clone());
         Some(plan)
     }
 
-    fn lookup_memory(&self, key: &ArtifactKey) -> Option<CachedPlan> {
-        let mut inner = self.inner.lock().expect("artifact cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let plan = entry.plan.clone();
-                inner.hits += 1;
-                Some(plan)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Whether `key` is resident, without touching counters or recency.
     pub fn contains(&self, key: &ArtifactKey) -> bool {
-        self.inner
-            .lock()
-            .expect("artifact cache poisoned")
-            .map
-            .contains_key(key)
+        self.tier.lru().contains(key)
     }
 
     /// Inserts a compile result, evicting the least-recently-used entry
@@ -320,35 +461,18 @@ impl ArtifactCache {
     /// bug that caused it).
     pub fn insert(&self, key: ArtifactKey, plan: CachedPlan) {
         if let Ok(ok) = plan.as_ref() {
-            if let Some(store) = self.disk() {
+            if let Some(store) = self.tier.disk() {
                 store.store_plan(&key, ok);
             }
         }
         self.insert_memory(key, plan);
     }
 
+    /// Failures go in class 0, successes in class 1: failures are evicted
+    /// first.
     fn insert_memory(&self, key: ArtifactKey, plan: CachedPlan) {
-        let mut inner = self.inner.lock().expect("artifact cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| (e.plan.is_ok(), e.last_used))
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            }
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                plan,
-                last_used: tick,
-            },
-        );
+        let class = usize::from(plan.is_ok());
+        self.tier.lru().insert(key, plan, class);
     }
 
     /// Returns the cached plan for `(model, arch, batch)`, compiling and
@@ -371,23 +495,12 @@ impl ArtifactCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("artifact cache poisoned");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.map.len(),
-            capacity: self.capacity,
-        }
+        self.tier.lru().stats()
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("artifact cache poisoned")
-            .map
-            .clear();
+        self.tier.lru().clear();
     }
 }
 
@@ -451,19 +564,6 @@ impl LayerKey {
 /// the tier is sized accordingly above [`DEFAULT_CACHE_CAPACITY`].
 pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 16_384;
 
-struct LayerEntry<V> {
-    value: V,
-    last_used: u64,
-}
-
-struct LayerInner<V> {
-    map: HashMap<LayerKey, LayerEntry<V>>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
 /// The layer tier of the two-tier cache: a thread-safe, capacity-bounded,
 /// least-recently-used memo of per-layer evaluation results, sibling to
 /// the model-level [`ArtifactCache`].
@@ -473,11 +573,9 @@ struct LayerInner<V> {
 /// `LayerPerf` (as `LayerPerfCache`). Lookup and insert mirror
 /// [`ArtifactCache`]: counters on every lookup, recency refreshed on hits,
 /// LRU eviction at capacity (there is no cheap-to-reproduce failure class
-/// here — evaluation is total — so eviction is recency only).
+/// here — evaluation is total — so every entry shares one class).
 pub struct LayerArtifactCache<V> {
-    inner: Mutex<LayerInner<V>>,
-    capacity: usize,
-    store: Mutex<Option<Arc<DiskArtifactStore>>>,
+    tier: Tier<LayerKey, V>,
 }
 
 impl<V> Default for LayerArtifactCache<V> {
@@ -488,14 +586,7 @@ impl<V> Default for LayerArtifactCache<V> {
 
 impl<V> std::fmt::Debug for LayerArtifactCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("LayerArtifactCache")
-            .field("len", &s.len)
-            .field("capacity", &s.capacity)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .field("evictions", &s.evictions)
-            .finish()
+        self.tier.debug("LayerArtifactCache", f)
     }
 }
 
@@ -504,15 +595,7 @@ impl<V> LayerArtifactCache<V> {
     /// (`capacity` is clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         LayerArtifactCache {
-            inner: Mutex::new(LayerInner {
-                map: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-            capacity: capacity.max(1),
-            store: Mutex::new(None),
+            tier: Tier::new(capacity),
         }
     }
 
@@ -522,45 +605,33 @@ impl<V> LayerArtifactCache<V> {
     /// [`Self::lookup`]; memory-tier [`CacheStats`] semantics are
     /// unchanged.
     pub fn attach_store(&self, store: Arc<DiskArtifactStore>) {
-        *self.store.lock().expect("layer cache store poisoned") = Some(store);
+        self.tier.attach_store(store);
     }
 
     /// The attached disk tier, if any.
     pub fn disk(&self) -> Option<Arc<DiskArtifactStore>> {
-        self.store
-            .lock()
-            .expect("layer cache store poisoned")
-            .clone()
+        self.tier.disk()
     }
 
     /// Whether `key` is resident, without touching counters or recency.
     pub fn contains(&self, key: &LayerKey) -> bool {
-        self.inner
-            .lock()
-            .expect("layer cache poisoned")
-            .map
-            .contains_key(key)
+        self.tier.lru().contains(key)
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("layer cache poisoned");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.map.len(),
-            capacity: self.capacity,
-        }
+        self.tier.lru().stats()
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("layer cache poisoned")
-            .map
-            .clear();
+        self.tier.lru().clear();
+    }
+
+    /// Inserts an evaluation result, evicting the least-recently-used
+    /// entry when full.
+    pub fn insert(&self, key: LayerKey, value: V) {
+        self.tier.lru().insert(key, value, 0);
     }
 }
 
@@ -568,47 +639,7 @@ impl<V: Clone> LayerArtifactCache<V> {
     /// Looks `key` up, counting a hit or miss, and refreshing recency on a
     /// hit.
     pub fn lookup(&self, key: &LayerKey) -> Option<V> {
-        let mut inner = self.inner.lock().expect("layer cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                inner.hits += 1;
-                Some(value)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts an evaluation result, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&self, key: LayerKey, value: V) {
-        let mut inner = self.inner.lock().expect("layer cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            }
-        }
-        inner.map.insert(
-            key,
-            LayerEntry {
-                value,
-                last_used: tick,
-            },
-        );
+        self.tier.lru().lookup(key)
     }
 }
 
@@ -844,5 +875,165 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.len, 2);
         assert_eq!(stats.hits + stats.misses, 8);
+    }
+
+    /// The eviction rule the O(1) core replaced, kept as the reference: a
+    /// tick advanced on every lookup and insert, and a full cache evicting
+    /// `min_by_key((class, last_used))` over every resident entry.
+    struct ScanModel {
+        /// tag -> (class, last_used).
+        map: HashMap<u64, (bool, u64)>,
+        tick: u64,
+        capacity: usize,
+        stats: CacheStats,
+    }
+
+    impl ScanModel {
+        fn new(capacity: usize) -> Self {
+            ScanModel {
+                map: HashMap::new(),
+                tick: 0,
+                capacity,
+                stats: CacheStats {
+                    capacity,
+                    ..CacheStats::default()
+                },
+            }
+        }
+
+        fn lookup(&mut self, tag: u64) -> Option<bool> {
+            self.tick += 1;
+            match self.map.get_mut(&tag) {
+                Some(entry) => {
+                    entry.1 = self.tick;
+                    self.stats.hits += 1;
+                    Some(entry.0)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, tag: u64, class: bool) {
+            self.tick += 1;
+            if !self.map.contains_key(&tag) && self.map.len() >= self.capacity {
+                let victim = *self.map.iter().min_by_key(|(_, e)| **e).unwrap().0;
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+            }
+            self.map.insert(tag, (class, self.tick));
+        }
+
+        fn snapshot(&self) -> CacheStats {
+            CacheStats {
+                len: self.map.len(),
+                ..self.stats
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert { tag: u64, ok: bool },
+        Lookup(u64),
+        Clear,
+    }
+
+    const TAGS: u64 = 12;
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..20, 0..TAGS, any::<bool>()).prop_map(|(kind, tag, ok)| match kind {
+            0..=9 => Op::Insert { tag, ok },
+            10..=18 => Op::Lookup(tag),
+            _ => Op::Clear,
+        })
+    }
+
+    fn shared_ok_plan() -> CachedPlan {
+        static PLAN: std::sync::OnceLock<CachedPlan> = std::sync::OnceLock::new();
+        PLAN.get_or_init(ok_plan).clone()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Both tiers agree with the scanning reference after every
+        /// operation: hits, misses, evictions, length and resident keys.
+        /// The resident-key check calls `contains` on every key after every
+        /// step, so it also proves `contains` leaves recency alone.
+        #[test]
+        fn lru_core_matches_the_scanning_reference(
+            capacity in 1usize..=8,
+            ops in prop::collection::vec(arb_op(), 1..120),
+        ) {
+            let failed: CachedPlan = Arc::new(Err(CompileError::EmptyModel));
+            let arch = ArchConfig::isca_45nm();
+            let layer_key = |tag: u64| LayerKey::of(tag, &arch, 1, 0);
+            let plans = ArtifactCache::new(capacity);
+            let layers: LayerArtifactCache<u64> = LayerArtifactCache::new(capacity);
+            // The model tier evicts failures first; the layer tier has one
+            // class, so its reference files every entry in the same one.
+            let mut plan_ref = ScanModel::new(capacity);
+            let mut layer_ref = ScanModel::new(capacity);
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Insert { tag, ok } => {
+                        let plan = if ok { shared_ok_plan() } else { failed.clone() };
+                        plans.insert(key(tag), plan);
+                        plan_ref.insert(tag, ok);
+                        layers.insert(layer_key(tag), tag);
+                        layer_ref.insert(tag, true);
+                    }
+                    Op::Lookup(tag) => {
+                        let got = plans.lookup(&key(tag)).map(|p| p.is_ok());
+                        prop_assert_eq!(got, plan_ref.lookup(tag), "step {}: {:?}", step, op);
+                        let got = layers.lookup(&layer_key(tag));
+                        prop_assert_eq!(got, layer_ref.lookup(tag).map(|_| tag));
+                    }
+                    Op::Clear => {
+                        plans.clear();
+                        plan_ref.map.clear();
+                        layers.clear();
+                        layer_ref.map.clear();
+                    }
+                }
+                prop_assert_eq!(plans.stats(), plan_ref.snapshot(), "step {}: {:?}", step, op);
+                prop_assert_eq!(layers.stats(), layer_ref.snapshot(), "step {}: {:?}", step, op);
+                for tag in 0..TAGS {
+                    prop_assert_eq!(
+                        plans.contains(&key(tag)),
+                        plan_ref.map.contains_key(&tag)
+                    );
+                    prop_assert_eq!(
+                        layers.contains(&layer_key(tag)),
+                        layer_ref.map.contains_key(&tag)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evicting_inserts_reuse_slots_and_never_grow_the_slab() {
+        let capacity = DEFAULT_LAYER_CACHE_CAPACITY;
+        let mut lru: Lru<u64, u64> = Lru::new(capacity);
+        for k in 0..10 * capacity as u64 {
+            lru.insert(k, k, 0);
+            assert!(lru.slots.len() <= capacity);
+        }
+        let stats = lru.stats();
+        assert_eq!(stats.len, capacity);
+        assert_eq!(lru.index.len(), capacity);
+        assert_eq!(stats.evictions, 9 * capacity as u64);
+        // The survivors are exactly the most recent `capacity` keys.
+        let newest = 9 * capacity as u64;
+        assert!(!lru.contains(&(newest - 1)));
+        assert!(lru.contains(&newest));
+        let last = 10 * capacity as u64 - 1;
+        assert_eq!(lru.lookup(&last), Some(last));
     }
 }

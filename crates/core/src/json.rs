@@ -14,7 +14,10 @@
 //!   the two paths are byte-identical by construction;
 //! * [`parse`] — a recursive-descent parser accepting standard JSON
 //!   (insignificant whitespace, string escapes including `\uXXXX` and
-//!   surrogate pairs, integer and float numbers).
+//!   surrogate pairs, integer and float numbers). Arrays and objects may
+//!   nest at most [`MAX_DEPTH`] levels deep, so hostile input (a wire
+//!   line of 100 000 `[`) is an ordinary [`JsonError`], not a stack
+//!   overflow.
 //!
 //! Numbers keep their integer-ness: a literal without `.`/`e` parses to
 //! [`Json::Int`], everything else to [`Json::Float`]. Floats encode via
@@ -202,15 +205,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Every document
+/// this workspace reads (wire requests, model files, store entries) nests
+/// a handful of levels; the bound exists so the recursive parser's stack
+/// use is bounded whatever the input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, rejecting trailing garbage.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] naming the first offending byte.
+/// Returns a [`JsonError`] naming the first offending byte, including
+/// the opening bracket of a container nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -224,6 +235,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,12 +281,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container with `parse`, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -522,6 +550,28 @@ mod tests {
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
         assert!(parse("").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| {
+            format!("{}{{}}{}", r#"{"a":"#.repeat(depth - 1), "}".repeat(depth - 1))
+        };
+        // At the limit: parses and round-trips.
+        for text in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            assert_eq!(parse(&text).unwrap().encode(), text);
+        }
+        // One past it: an ordinary error naming the offending bracket.
+        let e = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(e.to_string().contains(&format!("at byte {MAX_DEPTH}")), "{e}");
+        let e = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, 5 * MAX_DEPTH);
+        // Far past it, unterminated: still an error, never a stack overflow.
+        let e = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -9,27 +9,39 @@
 //! allocations and zero deallocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bitfusion_core::bitwidth::PairPrecision;
 use bitfusion_isa::program::SegmentProgram;
 use bitfusion_isa::walker::{summarize, BlockSummary};
 use bitfusion_isa::{BlockBuilder, ComputeFn, InstructionBlock, Scratchpad};
 
-/// Wraps the system allocator, counting every alloc/dealloc.
+/// Wraps the system allocator, counting every alloc/dealloc made by the
+/// calling thread.
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counters: the test harness runs other tests (and its own
+// bookkeeping) on other threads, and their heap traffic must not land in
+// a measured window. Const-initialized `Cell`s need no allocation and no
+// destructor, so touching them from inside the allocator is safe.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: a thread may still free memory while it is torn down.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&DEALLOCS);
         System.dealloc(ptr, layout)
     }
 }
@@ -37,11 +49,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// This thread's (allocations, deallocations) so far.
 fn heap_events() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        DEALLOCS.load(Ordering::Relaxed),
-    )
+    (ALLOCS.with(Cell::get), DEALLOCS.with(Cell::get))
 }
 
 /// A deeply tiled block: two enumerated DMA loop levels over a DMA-free

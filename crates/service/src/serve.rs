@@ -164,6 +164,26 @@ mod tests {
     }
 
     #[test]
+    fn a_too_deeply_nested_line_is_answered_and_the_loop_lives_on() {
+        // Nesting far past the parser's depth limit is one more malformed
+        // line: it must not overflow the stack and abort the process.
+        let script = format!("{}\n{{\"cmd\":\"list\"}}\n", "[".repeat(100_000));
+        let (lines, summary) = run_script(&script, 2);
+        assert_eq!(lines.len(), 2);
+        assert_eq!(summary.errors, 1);
+        match Response::parse(&lines[0]).expect("the error reply parses") {
+            Response::Error { message } => {
+                assert!(
+                    message.contains("nesting deeper than 128 levels at byte 128"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert!(lines[1].starts_with("{\"reply\":\"list\""), "{}", lines[1]);
+    }
+
+    #[test]
     fn concurrent_and_sequential_outputs_are_byte_identical() {
         // A mixed script where the expensive request comes first: the
         // reorder buffer must still emit it first.

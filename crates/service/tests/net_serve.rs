@@ -8,11 +8,17 @@
 //! live `stats` endpoint (which bypasses admission, so it answers even
 //! with the gate saturated) until the server observably reaches the
 //! state the scenario needs — in-flight count, queue depth, received
-//! count — then proceed.
+//! count — then proceed. A request that must keep its evaluation slot
+//! while the test acts is held by a [`PlanValve`], not by being slow, so
+//! no scenario races the speed of an evaluation. Every scoped server
+//! runs under a [`StopOnDrop`] guard: a failed assertion fails its test
+//! instead of leaving `net::run` waiting forever.
 
+use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,15 +27,96 @@ use bitfusion_service::protocol::{Request, StatsReply};
 use bitfusion_service::serve::clamp_nested_workers;
 use bitfusion_service::{Response, Session};
 
-/// A slow occupant request (~hundreds of ms even in debug builds): a
-/// 54-point event-backend DSE over the two deepest zoo networks.
-const SLOW_DSE: &str = r#"{"cmd":"dse","rows":[8,16,32],"cols":[8,16,32],"bandwidth":[64,128,256],"batches":[4,16],"networks":["resnet-18","vgg-7"],"workers":1,"backend":"event"}"#;
+/// The occupant request: its one compiled plan is what a [`PlanValve`]
+/// holds back, so it keeps the evaluation slot until the test opens the
+/// valve.
+const OCCUPANT: &str = r#"{"cmd":"report","benchmark":"rnn","batch":4}"#;
 
-/// A second, byte-distinct slow request for queue-occupancy scenarios.
-const SLOW_DSE_B: &str = r#"{"cmd":"dse","rows":[8,16,32],"cols":[8,16,32],"bandwidth":[64,128,256],"networks":["resnet-18"],"workers":1,"backend":"event"}"#;
+/// A byte-distinct request for queue-occupancy scenarios.
+const QUEUED: &str = r#"{"cmd":"report","benchmark":"lstm","batch":1}"#;
 
 /// The identical request the coalescing test fans out K times.
 const COALESCE_DSE: &str = r#"{"cmd":"dse","rows":[16,32],"cols":[16,32],"bandwidth":[64,128],"networks":["vgg-7"],"workers":1,"backend":"event"}"#;
+
+/// Sets the server's stop flag when dropped — including while a failed
+/// assertion unwinds out of a `thread::scope`, whose join would otherwise
+/// wait on `net::run` forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// A disk-store plan entry replaced by a named pipe. The server's
+/// read-through of that plan blocks in `open` until [`PlanValve::open`]
+/// writes the genuine entry into the pipe, so the request that needs the
+/// plan holds its evaluation slot exactly as long as the test wants.
+struct PlanValve {
+    pipe: PathBuf,
+    entry: Vec<u8>,
+    opened: bool,
+}
+
+impl PlanValve {
+    /// Learns the name and bytes of `request`'s plan entry from a scratch
+    /// store next to `store_dir`, then plants a pipe under that name in
+    /// `store_dir`.
+    fn plant(store_dir: &Path, request: &str) -> Self {
+        let scratch = store_dir.with_extension("learn");
+        let _ = fs::remove_dir_all(&scratch);
+        let learner = Session::new().with_cache_dir(&scratch).expect("open scratch store");
+        learner.handle(&Request::parse(request).expect("valve request parses"));
+        drop(learner);
+        let plans: Vec<PathBuf> = fs::read_dir(scratch.join("plans"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(plans.len(), 1, "one plan entry: {plans:?}");
+        let entry = fs::read(&plans[0]).unwrap();
+        fs::create_dir_all(store_dir.join("plans")).unwrap();
+        let pipe = store_dir.join("plans").join(plans[0].file_name().unwrap());
+        let made = std::process::Command::new("mkfifo")
+            .arg(&pipe)
+            .status()
+            .expect("run mkfifo");
+        assert!(made.success(), "mkfifo {}", pipe.display());
+        fs::remove_dir_all(&scratch).unwrap();
+        PlanValve {
+            pipe,
+            entry,
+            opened: false,
+        }
+    }
+
+    /// Lets the held request through: waits for its read to open the
+    /// pipe, then serves it the genuine entry (a disk hit, so its reply
+    /// bytes are unchanged).
+    fn open(&mut self) {
+        fs::write(&self.pipe, &self.entry).expect("feed the valve");
+        self.opened = true;
+    }
+}
+
+impl Drop for PlanValve {
+    fn drop(&mut self) {
+        if !self.opened {
+            // A failing test must not strand the held request (and with
+            // it the server's drain): feed the pipe from a detached
+            // thread, which waits for a reader if one ever arrives.
+            let (pipe, entry) = (self.pipe.clone(), std::mem::take(&mut self.entry));
+            thread::spawn(move || fs::write(pipe, entry));
+        }
+    }
+}
+
+/// A fresh per-test directory under the system temp dir.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bitfusion-net-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
 
 fn bind_tcp() -> (NetListener, SocketAddr) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
@@ -95,6 +182,7 @@ fn concurrent_clients_get_one_shot_bytes() {
     let (session, config, script) = (&session, &config, &script);
     let responses: Vec<Vec<String>> = thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
+        let _stop = StopOnDrop(&config.stop);
         // 6 clients, each sending the whole script on one connection but
         // starting from a different offset, so the interleaving across
         // connections differs every run.
@@ -147,7 +235,8 @@ fn concurrent_clients_get_one_shot_bytes() {
 #[test]
 fn identical_inflight_requests_evaluate_once() {
     const FOLLOWERS: usize = 3; // K = FOLLOWERS + 1 identical requests
-    let session = Session::new();
+    let dir = temp_dir("coalesce");
+    let session = Session::new().with_cache_dir(&dir).expect("open store");
     let (listener, addr) = bind_tcp();
     let config = NetConfig {
         workers: 1, // one evaluation slot: the occupant holds it
@@ -157,8 +246,11 @@ fn identical_inflight_requests_evaluate_once() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
-        // Occupy the only slot with a slow, byte-distinct request.
-        let occupant = scope.spawn(move || exchange(addr, SLOW_DSE));
+        let _stop = StopOnDrop(&config.stop);
+        // Occupy the only slot with a byte-distinct request held at the
+        // valve.
+        let mut valve = PlanValve::plant(&dir, OCCUPANT);
+        let occupant = scope.spawn(move || exchange(addr, OCCUPANT));
         wait_until("occupant in flight", || stats(addr).in_flight == 1);
         // Fan out K identical requests. The first to arrive leads (and
         // queues behind the occupant); the rest follow its flight.
@@ -171,11 +263,12 @@ fn identical_inflight_requests_evaluate_once() {
             let s = stats(addr);
             s.received == 1 + (FOLLOWERS as u64 + 1) && s.queue_depth == 1
         });
+        valve.open();
         let expected = one_shot(COALESCE_DSE);
         for client in identical {
             assert_eq!(client.join().unwrap(), expected);
         }
-        assert_eq!(occupant.join().unwrap(), one_shot(SLOW_DSE));
+        assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
         let s = stats(addr);
         assert_eq!(s.coalesced, FOLLOWERS as u64, "K-1 requests coalesced");
         assert_eq!(s.received, 1 + FOLLOWERS as u64 + 1);
@@ -185,22 +278,25 @@ fn identical_inflight_requests_evaluate_once() {
         assert_eq!(summary.coalesced, FOLLOWERS as u64);
     });
     // The spec-level proof that K identical requests cost ONE evaluation:
-    // the shared caches saw exactly the lookups of evaluating the
-    // occupant once and the coalesced request once. A duplicate
-    // evaluation would add hits (warm re-run) and break equality.
+    // the shared memory tiers saw exactly the lookups of evaluating the
+    // occupant once and the coalesced request once (a disk-served plan
+    // still counts as a memory miss). A duplicate evaluation would add
+    // hits (warm re-run) and break equality.
     let reference = Session::new();
-    for line in [SLOW_DSE, COALESCE_DSE] {
+    for line in [OCCUPANT, COALESCE_DSE] {
         let mut request = Request::parse(line).unwrap();
         clamp_nested_workers(&mut request);
         reference.handle(&request);
     }
     assert_eq!(session.cache_stats(), reference.cache_stats());
     assert_eq!(session.layer_cache_stats(), reference.layer_cache_stats());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn overload_sheds_with_a_parseable_error() {
-    let session = Session::new();
+    let dir = temp_dir("overload");
+    let session = Session::new().with_cache_dir(&dir).expect("open store");
     let (listener, addr) = bind_tcp();
     let config = NetConfig {
         workers: 1,
@@ -210,13 +306,16 @@ fn overload_sheds_with_a_parseable_error() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
-        let occupant = scope.spawn(move || exchange(addr, SLOW_DSE));
+        let _stop = StopOnDrop(&config.stop);
+        let mut valve = PlanValve::plant(&dir, OCCUPANT);
+        let occupant = scope.spawn(move || exchange(addr, OCCUPANT));
         wait_until("occupant in flight", || stats(addr).in_flight == 1);
-        let queued = scope.spawn(move || exchange(addr, SLOW_DSE_B));
+        let queued = scope.spawn(move || exchange(addr, QUEUED));
         wait_until("queue full", || stats(addr).queue_depth == 1);
-        // The gate is saturated: slot + queue taken. A third, distinct
-        // request must be answered immediately with the pinned,
-        // well-formed error — not a dropped connection, not a hang.
+        // The gate is saturated — slot + queue taken — and stays so until
+        // the valve opens. A third, distinct request must be answered
+        // immediately with the pinned, well-formed error — not a dropped
+        // connection, not a hang.
         let shed_reply = exchange(addr, r#"{"cmd":"report","benchmark":"rnn","batch":1}"#);
         assert_eq!(
             shed_reply,
@@ -232,8 +331,9 @@ fn overload_sheds_with_a_parseable_error() {
         assert_eq!(s.queue_capacity, 1);
         assert_eq!(s.workers, 1);
         // The occupant and the queued request still complete correctly.
-        assert_eq!(occupant.join().unwrap(), one_shot(SLOW_DSE));
-        assert_eq!(queued.join().unwrap(), one_shot(SLOW_DSE_B));
+        valve.open();
+        assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
+        assert_eq!(queued.join().unwrap(), one_shot(QUEUED));
         // Latency percentiles cover the completed (non-shed) requests.
         let s = stats(addr);
         assert_eq!(s.latency.count, 2);
@@ -245,6 +345,7 @@ fn overload_sheds_with_a_parseable_error() {
         assert_eq!(summary.errors, 1);
         assert_eq!(summary.responses, 3);
     });
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -259,6 +360,7 @@ fn idle_connections_are_reaped_but_the_server_lives_on() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
+        let _stop = StopOnDrop(&config.stop);
         // A client that connects and never speaks: the server must close
         // it (read returns EOF) rather than pin the thread forever.
         let idle = TcpStream::connect(addr).expect("connect");
@@ -305,6 +407,7 @@ fn shutdown_request_drains_a_unix_server() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
+        let _stop = StopOnDrop(&config.stop);
         let reply = unix_exchange(r#"{"cmd":"report","benchmark":"rnn","batch":1}"#);
         assert_eq!(reply, one_shot(r#"{"cmd":"report","benchmark":"rnn","batch":1}"#));
         // The admin request: acknowledged, then the server drains and
@@ -353,6 +456,7 @@ fn keep_alive_pipelining_matches_one_shot_bytes() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
+        let _stop = StopOnDrop(&config.stop);
         let piped = pipeline(addr, &script);
         for (line, reply) in script.iter().zip(&piped) {
             // Same bytes as a fresh one-shot connection per request...
@@ -370,11 +474,7 @@ fn keep_alive_pipelining_matches_one_shot_bytes() {
 
 #[test]
 fn warm_cache_dir_restart_serves_identical_bytes_from_disk() {
-    let dir = std::env::temp_dir().join(format!(
-        "bitfusion-net-disk-test-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("disk-test");
     let script = [
         r#"{"cmd":"report","benchmark":"rnn","batch":4,"backend":"event"}"#,
         r#"{"cmd":"sweep","benchmark":"lstm","axis":"bandwidth"}"#,
@@ -389,6 +489,7 @@ fn warm_cache_dir_restart_serves_identical_bytes_from_disk() {
         let (session, config) = (&session, &config);
         thread::scope(|scope| {
             let server = scope.spawn(move || net::run(session, &listener, config));
+            let _stop = StopOnDrop(&config.stop);
             let replies = pipeline(addr, &script);
             let disk = stats(addr).disk.expect("--cache-dir servers report disk");
             if expect_disk_hits {
@@ -409,7 +510,7 @@ fn warm_cache_dir_restart_serves_identical_bytes_from_disk() {
     // them, and the response bytes cannot tell which tier answered.
     let warm = run_server(true);
     assert_eq!(cold, warm);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -420,6 +521,7 @@ fn tcp_shutdown_is_refused() {
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
         let server = scope.spawn(move || net::run(session, &listener, config));
+        let _stop = StopOnDrop(&config.stop);
         let reply = exchange(addr, r#"{"cmd":"shutdown"}"#);
         match Response::parse(&reply).expect("refusal parses") {
             Response::Error { message } => {
